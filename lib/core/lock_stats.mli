@@ -3,10 +3,14 @@
     Counters classify every acquire into the paper's scenario ranking
     (§2: unlocked ≫ shallow nested ≫ deep nested ≫ contended without
     queue ≫ contended with queue) and record the nesting depth of every
-    acquisition, which is what Figure 3 plots.  All counters are
-    atomic, so multi-threaded workloads may record concurrently; the
-    cost is a handful of uncontended atomic adds per operation, paid
-    identically by every scheme so comparisons stay fair. *)
+    acquisition, which is what Figure 3 plots.  Counters are kept in
+    per-domain shards of plain integers: a record writes only the
+    calling domain's shard, with no atomic operation and no write to
+    memory another domain writes, so it costs the same whether one
+    domain records or many, and every scheme pays it identically.
+    {!snapshot} sums the shards: it is exact once the recording domains
+    have joined, and approximate while they run.  Call {!reset} only
+    when no domain is recording. *)
 
 type t
 

@@ -348,11 +348,7 @@ let natives : (string * Vm.native_impl) list =
            entry that takes a synchronized block inside — two orders of
            magnitude hotter than anything else in jax (§3.4). *)
         let obj = receiver_obj receiver in
-        let scheme = Vm.scheme vm in
-        scheme.Tl_core.Scheme_intf.acquire env obj.Value.hdr;
-        Fun.protect
-          ~finally:(fun () -> scheme.Tl_core.Scheme_intf.release env obj.Value.hdr)
-          (fun () ->
+        Tl_core.Scheme_intf.synchronized (Vm.scheme vm) env obj.Value.hdr (fun () ->
             match obj.Value.native with
             | Value.Bitset_state st ->
                 let i = Value.as_int args.(0) in

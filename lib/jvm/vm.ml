@@ -323,11 +323,7 @@ and invoke_resolved t env ~class_id ~name receiver args =
       in
       (match lock_target with
       | None -> run ()
-      | Some obj ->
-          t.scheme.Scheme_intf.acquire env obj.Value.hdr;
-          Fun.protect
-            ~finally:(fun () -> t.scheme.Scheme_intf.release env obj.Value.hdr)
-            run)
+      | Some obj -> Scheme_intf.synchronized t.scheme env obj.Value.hdr run)
 
 and call_method t env receiver name args =
   match receiver with

@@ -1,6 +1,7 @@
 open Tl_core
 module Runtime = Tl_runtime.Runtime
 module Backoff = Tl_runtime.Backoff
+module Ws_deque = Tl_fiber.Ws_deque
 
 type mode = Affinity | Shuffle
 
@@ -160,8 +161,9 @@ let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.
   in
   let tallies = Array.make config.domains dummy_tally in
   (* One reset before the domains start, one snapshot after they all
-     join: the scheme's counters are shared atomics, so any per-domain
-     reset or snapshot would race and double-count. *)
+     join: the scheme's counters are per-domain shards, exact only once
+     every recording domain has joined, and a reset while one records
+     would lose its updates. *)
   scheme.Scheme_intf.reset_stats ();
   let worker d env =
     let t0 = Tl_util.Timer.now () in
@@ -192,8 +194,7 @@ let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.
             end
           end)
         r.ops;
-      incr runs_executed;
-      Atomic.decr remaining
+      incr runs_executed
     in
     let exec_slice (lane : lane) =
       incr lanes_started;
@@ -201,6 +202,7 @@ let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.
       for _ = 1 to budget do
         exec_run lane
       done;
+      ignore (Atomic.fetch_and_add remaining (-budget));
       if lane.next_run < Array.length lane.runs then Ws_deque.push dq lane
     in
     let backoff =

@@ -17,8 +17,8 @@
 
     {b Affinity mode.}  Lanes are sharded to domains by object id
     ([obj mod domains]).  Each domain works its own shard LIFO from a
-    {!Ws_deque}; an idle domain steals a {e whole lane} FIFO from a
-    victim.  Because the thief takes every remaining run of the object,
+    {!Tl_fiber.Ws_deque}; an idle domain steals a {e whole lane} FIFO
+    from a victim.  Because the thief takes every remaining run of the object,
     thin-lock ownership locality survives migration: the new executor's
     first acquire CASes an unlocked word, and every later one is a
     nested fast path — no contention is ever manufactured by the

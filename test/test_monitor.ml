@@ -376,19 +376,32 @@ let test_concurrent_alloc_free_stress () =
   let sentinel = Index_table.allocate t (-1) in
   let domains = 4 in
   let cycles = 2_000 in
+  (* Alcotest's checks are not domain-safe: each worker records what
+     it misread, and the main domain asserts after the join. *)
+  let own_misreads = Array.make domains [] and sentinel_misreads = Array.make domains [] in
   Runtime.run_parallel ~backend:Runtime.Domain_backend runtime domains (fun i _env ->
       for j = 1 to cycles do
-        let h = Index_table.allocate ~shard_hint:i t ((i * 100_000) + j) in
+        let v = (i * 100_000) + j in
+        let h = Index_table.allocate ~shard_hint:i t v in
         (* Our own handle must stay valid until we free it... *)
-        check_int "own handle valid" ((i * 100_000) + j) (Index_table.get t h);
+        let got = Index_table.get t h in
+        if got <> v then own_misreads.(i) <- (v, got) :: own_misreads.(i);
         (* ...and probing the shared sentinel must never observe a
            recycled occupant: Some (-1) before its free, None after. *)
         (match Index_table.find t sentinel with
-        | Some v -> check_int "sentinel value intact" (-1) v
-        | None -> ());
+        | Some v when v <> -1 -> sentinel_misreads.(i) <- v :: sentinel_misreads.(i)
+        | Some _ | None -> ());
         if i = 0 && j = cycles / 2 then Index_table.free t sentinel;
         Index_table.free t h
       done);
+  for i = 0 to domains - 1 do
+    Alcotest.(check (list (pair int int)))
+      (Printf.sprintf "own handle valid (worker %d)" i)
+      [] own_misreads.(i);
+    Alcotest.(check (list int))
+      (Printf.sprintf "sentinel value intact (worker %d)" i)
+      [] sentinel_misreads.(i)
+  done;
   check_int "all slots reclaimed" 0 (Index_table.live t);
   check_int "census" ((domains * cycles) + 1) (Index_table.allocated t);
   Alcotest.(check bool) "free lists recycled slots" true (Index_table.reuses t > 0)
