@@ -789,22 +789,21 @@ let bench_fiber_storm () =
     \   distinct tids stay near the admission window because leases recycle)\n\n%!"
 
 (* Contended-path backend head-to-head: parker (Mesa-style entry
-   queue, barging) against hapax (constant-time FIFO ticket admission)
-   and delegate (hapax admission + flat-combining delegation), on the
-   two contended workloads.  Replay-par runs shuffle mode with the
-   interleave deschedule and spin work so episodes genuinely overlap
-   on a small host; each cell is the median of three runs.  The
-   fairness harness hammers one fat lock from two workers, stamping
-   every arrival with a global fetch-and-add and every grant with its
-   in-lock sequence number: adjacent grant pairs out of arrival order
-   (inversions) quantify barging, which FIFO admission eliminates. *)
+   queue, barging) against hapax (constant-time FIFO ticket
+   admission), on the two contended workloads.  Replay-par runs
+   shuffle mode with the interleave deschedule and spin work so
+   episodes genuinely overlap on a small host; each cell is the median
+   of three runs.  The fairness harness hammers one fat lock from two
+   workers, stamping every arrival with a global fetch-and-add and
+   every grant with its in-lock sequence number: adjacent grant pairs
+   out of arrival order (inversions) quantify barging, which FIFO
+   admission eliminates. *)
 let bench_fat_backend () =
-  section "Fat-lock contended path: parker vs hapax vs delegate";
+  section "Fat-lock contended path: parker vs hapax";
   let module PR = Tl_workload.Parallel_replay in
   let module FS = Tl_workload.Fiber_storm in
-  let backends =
-    [ ("parker", "thin"); ("hapax", "thin-hapax"); ("delegate", "thin-delegate") ]
-  in
+  let module Fatlock = Tl_monitor.Fatlock in
+  let backends = [ (Fatlock.Parker, "thin"); (Fatlock.Hapax, "thin-hapax") ] in
   (* --- shuffle-mode replay-par --- *)
   let max_syncs = if quick then 40_000 else 100_000 in
   let profile =
@@ -846,14 +845,14 @@ let bench_fat_backend () =
           in
           let r = List.nth samples 2 in
           let contended = r.PR.stats.Tl_core.Lock_stats.contended_episodes in
-          Printf.printf "  %-10s %8d %12.0f %6.1f %10d\n%!" backend domains
-            ops_per_sec
+          Printf.printf "  %-10s %8d %12.0f %6.1f %10d\n%!"
+            (Fatlock.backend_name backend) domains ops_per_sec
             (100.0 *. PR.fast_ratio r.PR.stats)
             contended;
           replay_rows :=
             J.Obj
               [
-                ("backend", J.Str backend);
+                ("backend", J.Str (Fatlock.backend_name backend));
                 ("mode", J.Str "shuffle");
                 ("domains", J.Int domains);
                 ("ops_per_sec", J.Float ops_per_sec);
@@ -887,13 +886,14 @@ let bench_fat_backend () =
       let clean =
         match r.FS.oracle with Some rep -> Tl_events.Oracle.ok rep | None -> false
       in
-      Printf.printf "  %-10s %12.0f %9.1f %9.1f %9.1f %7s\n%!" backend r.FS.ops_per_sec
-        r.FS.p50_us r.FS.p99_us r.FS.p999_us
+      Printf.printf "  %-10s %12.0f %9.1f %9.1f %9.1f %7s\n%!"
+        (Fatlock.backend_name backend) r.FS.ops_per_sec r.FS.p50_us r.FS.p99_us
+        r.FS.p999_us
         (if clean then "clean" else "VIOLATION");
       storm_rows :=
         J.Obj
           [
-            ("backend", J.Str backend);
+            ("backend", J.Str (Fatlock.backend_name backend));
             ("fibers", J.Int fibers);
             ("domains", J.Int 2);
             ("in_flight", J.Int 512);
@@ -921,10 +921,10 @@ let bench_fat_backend () =
   Printf.printf "  %-10s %8s %10s %10s %10s\n" "backend" "grants" "inversions"
     "wait-p99us" "wait-maxus";
   List.iter
-    (fun (backend_name, _) ->
-      let backend = Option.get (Tl_monitor.Fatlock.backend_of_string backend_name) in
+    (fun (backend, _) ->
+      let backend_name = Fatlock.backend_name backend in
       let runtime = Runtime.create () in
-      let fat = Tl_monitor.Fatlock.create ~backend () in
+      let fat = Fatlock.create ~backend () in
       let total = workers * ops in
       let arrivals = Atomic.make 0 in
       let gseq = ref 0 (* in-lock grant sequence: protected by [fat] *) in
@@ -943,7 +943,7 @@ let bench_fat_backend () =
           for _ = 1 to ops do
             let stamp = Atomic.fetch_and_add arrivals 1 in
             let t0 = Tl_util.Timer.now_ns () in
-            Tl_monitor.Fatlock.acquire env fat;
+            Fatlock.acquire env fat;
             let w = Tl_util.Timer.elapsed_ns ~since:t0 in
             let g = !gseq in
             incr gseq;
@@ -955,7 +955,7 @@ let bench_fat_backend () =
                and block mid-hold, so release actually has someone to
                barge past (parker) or admit in order (hapax). *)
             Thread.yield ();
-            Tl_monitor.Fatlock.release env fat;
+            Fatlock.release env fat;
             spin 16
           done);
       let inversions = ref 0 in
@@ -980,7 +980,7 @@ let bench_fat_backend () =
               J.Float (float_of_int !inversions /. float_of_int total) );
             ("wait_p99_us", J.Float p99);
             ("wait_max_us", J.Float wmax);
-            ("contended_episodes", J.Int (Tl_monitor.Fatlock.contended_episodes fat));
+            ("contended_episodes", J.Int (Fatlock.contended_episodes fat));
           ]
         :: !fairness_rows)
     backends;
@@ -1330,6 +1330,39 @@ let bench_vm_macros () =
     programs;
   print_newline ()
 
+(* Code size next to speed: lines of OCaml source (.ml and .mli) under
+   each source tree, counted from the working directory (the repo root
+   under [dune exec]). *)
+let bench_code_size () =
+  section "Code size: lines of .ml/.mli source";
+  let count_lines path =
+    In_channel.with_open_bin path (fun ic ->
+        let rec go n = match In_channel.input_line ic with Some _ -> go (n + 1) | None -> n in
+        go 0)
+  in
+  let rec lines_under dir =
+    Array.fold_left
+      (fun acc name ->
+        let path = Filename.concat dir name in
+        if Sys.is_directory path then acc + lines_under path
+        else if Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli" then
+          acc + count_lines path
+        else acc)
+      0 (Sys.readdir dir)
+  in
+  let rows =
+    List.map
+      (fun dir ->
+        let n = if Sys.file_exists dir then lines_under dir else 0 in
+        Printf.printf "  %-6s %7d\n" dir n;
+        (dir, n))
+      [ "lib"; "bin"; "bench" ]
+  in
+  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 rows in
+  Printf.printf "  %-6s %7d\n%!" "total" total;
+  add_json "code_size"
+    (J.Obj (List.map (fun (dir, n) -> (dir, J.Int n)) rows @ [ ("total", J.Int total) ]))
+
 (* CI smoke pass: the fast wall-clock sections only — enough to catch
    bit-rot in the bench harness (and exercise the lifecycle subsystem
    end-to-end) without the multi-minute Bechamel and report runs. *)
@@ -1347,6 +1380,7 @@ let run_smoke () =
   bench_fiber_storm ();
   bench_fat_backend ();
   bench_controller ();
+  bench_code_size ();
   write_bench_json ();
   Printf.printf "\ndone (smoke).\n"
 
@@ -1379,6 +1413,7 @@ let () =
   bench_fat_backend ();
   bench_controller ();
   bench_vm_macros ();
+  bench_code_size ();
 
   section "Table 1: macro-benchmark characterization";
   print_string (Tl_workload.Report.table1 ~max_syncs ());

@@ -408,9 +408,8 @@ let backend_arg =
 let fat_backend_arg =
   let doc =
     "Contended-path engine for inflated fat monitors: $(b,parker) (entry \
-     queue with spin-before-park, the default), $(b,hapax) (constant-time \
-     FIFO ticket admission) or $(b,delegate) (hapax admission plus \
-     flat-combining delegation)."
+     queue with spin-before-park, the default) or $(b,hapax) (constant-time \
+     FIFO ticket admission)."
   in
   Arg.(
     value
@@ -419,7 +418,6 @@ let fat_backend_arg =
            [
              ("parker", Tl_monitor.Fatlock.Parker);
              ("hapax", Tl_monitor.Fatlock.Hapax);
-             ("delegate", Tl_monitor.Fatlock.Delegate);
            ])
         Tl_monitor.Fatlock.Parker
     & info [ "fat-backend" ] ~docv:"ENGINE" ~doc)
@@ -834,7 +832,7 @@ let fiber_storm_cmd =
         arrival_rate = rate;
         yield_in_cs = not no_yield;
         scheme;
-        fat_backend = Tl_monitor.Fatlock.backend_name fat_backend;
+        fat_backend;
         reap;
         controller = ctl;
         seed;

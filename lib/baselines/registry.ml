@@ -38,10 +38,6 @@ let table : (string * string * (Tl_runtime.Runtime.t -> Scheme_intf.packed)) lis
       "thin locks inflating to FIFO ticket-admission monitors (Hapax contended path)",
       thin_variant "thin-hapax"
         { Thin.default_config with fat_backend = Tl_monitor.Fatlock.Hapax } );
-    ( "thin-delegate",
-      "thin locks inflating to flat-combining monitors (delegated critical sections)",
-      thin_variant "thin-delegate"
-        { Thin.default_config with fat_backend = Tl_monitor.Fatlock.Delegate } );
     ( "jdk111",
       "Sun JDK 1.1.1 port: global monitor cache with recycling",
       fun runtime -> Scheme_intf.pack (module Jdk111) (Jdk111.create runtime) );
@@ -60,12 +56,6 @@ let table : (string * string * (Tl_runtime.Runtime.t -> Scheme_intf.packed)) lis
         rename "fat-hapax"
           (Scheme_intf.pack (module Fat_only)
              (Fat_only.create_with ~backend:Tl_monitor.Fatlock.Hapax runtime)) );
-    ( "fat-delegate",
-      "always-inflated control over flat-combining monitors",
-      fun runtime ->
-        rename "fat-delegate"
-          (Scheme_intf.pack (module Fat_only)
-             (Fat_only.create_with ~backend:Tl_monitor.Fatlock.Delegate runtime)) );
     ( "mcs",
       "MCS queue locks with monitor semantics layered on top (§4.1)",
       fun runtime -> Scheme_intf.pack (module Mcs) (Mcs.create runtime) );

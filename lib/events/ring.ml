@@ -6,7 +6,11 @@
    arrays plus the head bump — no atomic read-modify-write anywhere on
    the path.  Appends past the capacity are counted as drops instead of
    overwriting (a trace with a hole at the *end* and an honest drop
-   count is more useful than one silently missing its middle).
+   count is more useful than one silently missing its middle).  A
+   growing ring starts small and doubles on demand up to the capacity,
+   so a generous capacity costs memory only for events actually
+   written; the default preallocates, keeping allocation (and its page
+   faults) off the emit path.
 
    Each slot packs [stamp lsl Event.kind_bits lor kind] next to the
    arg; the stamp is the sink's epoch (or a system-stream ticket), not
@@ -18,28 +22,40 @@
 
 type t = {
   capacity : int;
-  meta : int array; (* stamp lsl Event.kind_bits lor Event.kind_to_int *)
-  args : int array;
+  mutable meta : int array; (* stamp lsl Event.kind_bits lor Event.kind_to_int *)
+  mutable args : int array; (* same length as [meta], at most [capacity] *)
   mutable head : int; (* total appends ever; may exceed capacity *)
 }
 
 let kind_mask = (1 lsl Event.kind_bits) - 1
 
-let create capacity =
+let create ?(grow = false) capacity =
   if capacity < 1 then invalid_arg "Ring.create: capacity";
-  {
-    capacity;
-    meta = Array.make capacity 0;
-    args = Array.make capacity 0;
-    head = 0;
-  }
+  let n = if grow then min capacity 256 else capacity in
+  { capacity; meta = Array.make n 0; args = Array.make n 0; head = 0 }
+
+let[@inline never] append_slow t i m arg =
+  if i < t.capacity then begin
+    let n = min t.capacity (2 * Array.length t.meta) in
+    let extend a =
+      let b = Array.make n 0 in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    t.meta <- extend t.meta;
+    t.args <- extend t.args;
+    Array.unsafe_set t.meta i m;
+    Array.unsafe_set t.args i arg
+  end
 
 let emit t ~stamp ~kind ~arg =
   let i = t.head in
-  if i < t.capacity then begin
-    Array.unsafe_set t.meta i ((stamp lsl Event.kind_bits) lor Event.kind_to_int kind);
+  let m = (stamp lsl Event.kind_bits) lor Event.kind_to_int kind in
+  if i < Array.length t.meta then begin
+    Array.unsafe_set t.meta i m;
     Array.unsafe_set t.args i arg
-  end;
+  end
+  else append_slow t i m arg;
   t.head <- i + 1
 
 let written t = min t.head t.capacity

@@ -21,15 +21,24 @@
 
 type t = {
   capacity : int;
-  meta : int array; (* stamp lsl Event.kind_bits lor Event.kind_to_int *)
-  args : int array;
+  mutable meta : int array; (* stamp lsl Event.kind_bits lor Event.kind_to_int *)
+  mutable args : int array;
   mutable head : int;
 }
 (** Exposed so [Sink.emit] can inline the append on its hot path.
     Outside [lib/events], treat as read-only. *)
 
-val create : int -> t
-(** [create capacity].  @raise Invalid_argument if [capacity < 1]. *)
+val append_slow : t -> int -> int -> int -> unit
+(** [append_slow t i meta arg]: the append at position [i] once the
+    buffers are full — grow them (up to the capacity) and store, or
+    drop past the capacity.  The caller still bumps [head]. *)
+
+val create : ?grow:bool -> int -> t
+(** [create capacity].  With [~grow:true] storage starts small and
+    doubles on demand up to [capacity], so memory follows the events
+    actually written, at the price of allocating on the emit path;
+    by default (false) the whole capacity is allocated up front.
+    @raise Invalid_argument if [capacity < 1]. *)
 
 val emit : t -> stamp:int -> kind:Event.kind -> arg:int -> unit
 (** Append one event (single writer only). *)

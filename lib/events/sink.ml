@@ -48,6 +48,7 @@ type sampling = Every_event | One_in_n of int | Contended_only
 
 type t = {
   enabled : bool;
+  grow : bool; (* rings start small and double up to their capacity *)
   ring_capacity : int;
   system_capacity : int; (* ring 0 may need more room than mutator rings *)
   epoch : int Atomic.t;
@@ -67,6 +68,7 @@ let no_ring = Ring.create 1
 let disabled =
   {
     enabled = false;
+    grow = false;
     ring_capacity = 0;
     system_capacity = 0;
     epoch = Atomic.make 0;
@@ -81,7 +83,7 @@ let default_capacity = 1 lsl 16
 let all_kinds_mask = (1 lsl Event.n_kinds) - 1
 
 let create ?(ring_capacity = default_capacity) ?system_capacity
-    ?(sampling = Every_event) () =
+    ?(sampling = Every_event) ?(grow = false) () =
   if ring_capacity < 1 then invalid_arg "Sink.create: ring_capacity";
   let system_capacity = Option.value ~default:ring_capacity system_capacity in
   if system_capacity < 1 then invalid_arg "Sink.create: system_capacity";
@@ -95,6 +97,7 @@ let create ?(ring_capacity = default_capacity) ?system_capacity
   in
   {
     enabled = true;
+    grow;
     ring_capacity;
     system_capacity;
     epoch = Atomic.make 0;
@@ -111,7 +114,9 @@ let advance_epoch t = if t.enabled then Atomic.incr t.epoch
 
 let[@inline never] ring_slow t tid =
   let cell = t.rings.(tid) in
-  let ring = Ring.create (if tid = 0 then t.system_capacity else t.ring_capacity) in
+  let ring =
+    Ring.create ~grow:t.grow (if tid = 0 then t.system_capacity else t.ring_capacity)
+  in
   if Atomic.compare_and_set cell no_ring ring then ring
   else
     (* lost the race; a cell never goes back to the sentinel *)
@@ -151,11 +156,12 @@ let[@inline] emit t ~tid ~kind ~arg =
         let ring = Atomic.get (Array.unsafe_get t.rings tid) in
         let ring = if ring == no_ring then ring_slow t tid else ring in
         let i = ring.Ring.head in
-        if i < ring.Ring.capacity then begin
-          Array.unsafe_set ring.Ring.meta i
-            (((2 * Atomic.get t.epoch) lsl Event.kind_bits) lor k);
+        let m = ((2 * Atomic.get t.epoch) lsl Event.kind_bits) lor k in
+        if i < Array.length ring.Ring.meta then begin
+          Array.unsafe_set ring.Ring.meta i m;
           Array.unsafe_set ring.Ring.args i arg
-        end;
+        end
+        else Ring.append_slow ring i m arg;
         ring.Ring.head <- i + 1
       end
 

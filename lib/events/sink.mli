@@ -64,14 +64,21 @@ type sampling =
           are kept *)
 
 val create :
-  ?ring_capacity:int -> ?system_capacity:int -> ?sampling:sampling -> unit -> t
+  ?ring_capacity:int ->
+  ?system_capacity:int ->
+  ?sampling:sampling ->
+  ?grow:bool ->
+  unit ->
+  t
 (** An enabled sink whose rings each hold [ring_capacity] events
     (default {!default_capacity}).  Size it to the workload when drops
     matter: roughly [2×ops + inflations + extras] per thread.
-    [system_capacity] (default [ring_capacity]) sizes ring 0 alone —
-    fiber storms keep mutator rings small (events spread over 32 k
-    recycled tids) while the system stream absorbs every deflation,
-    reaper scan and overflow mark of the run. *)
+    [system_capacity] (default [ring_capacity]) sizes ring 0 alone,
+    which absorbs every deflation, reaper scan and overflow mark of
+    the run.  Each ring is allocated whole on its thread's first event
+    unless [grow] (default false) is set: then rings start small and
+    double up to their capacity ({!Ring.create}), for runs whose
+    events spread unevenly over thousands of tids. *)
 
 val enabled : t -> bool
 

@@ -45,12 +45,13 @@
     stream, its [arg] packed by {!pack_switch}, so both codecs,
     [trace-diff] and the oracle see the controller's every move.
 
-    {b Hapax/delegate composition.}  A shard is never switched {e
-    eager-ward} (nor explored) while any of its monitors reported a
-    non-quiet admission pipeline this epoch ([Fatlock.pipeline_quiet]):
-    deflating under ticketed arrivals composes badly with FIFO
-    admission (PR 9's barging prevention).  The pending switch is held,
-    not cancelled — it fires once the pipeline drains. *)
+    {b Hapax composition.}  A shard is never switched {e eager-ward}
+    (nor explored) while any of its monitors reported a non-quiet
+    admission pipeline this epoch ([Fatlock.pipeline_quiet]): deflating
+    under ticketed arrivals composes badly with FIFO admission, which
+    refuses barging entries while tickets are pending.  The pending
+    switch is held, not cancelled — it fires once the pipeline
+    drains. *)
 
 type config = {
   epoch_scans : int;  (** census scans per decision epoch (default 4) *)

@@ -14,13 +14,11 @@
    but the acquire-latency tail (p50/p99/p999), which is where a
    scheduler that livelocks or a lock that convoys shows up first.
 
-   Tracing a storm needs asymmetric ring sizing: lease recycling keeps
-   the set of distinct tids near the admission window (the free list
-   is FIFO, so roughly [in_flight] indices cycle), each hosting
-   [fibers / in_flight] lease segments.  [ring_capacity_for] sizes the
-   mutator rings to that product with headroom, while the system ring
-   absorbs every quiescence announcement and overflow mark of the
-   run. *)
+   Tracing a storm: lease recycling keeps the set of distinct tids
+   near the admission window, but not their load even (see
+   [ring_capacity_for]), so every mutator ring is bounded by the whole
+   run and grows on demand; the system ring absorbs every quiescence
+   announcement and overflow mark of the run. *)
 
 open Tl_runtime
 module Scheduler = Tl_fiber.Scheduler
@@ -44,12 +42,9 @@ type config = {
   count_width : int;  (** thin nest-count width, for lock + oracle *)
   quiescence_every : int;  (** announce every N admissions; 0 = auto *)
   scheme : string;  (** locking scheme under the storm: "thin" or "cjm" *)
-  fat_backend : string;
-      (** contended-path engine for inflated monitors ("parker",
-          "hapax" or "delegate"; thin scheme only).  Under "delegate"
-          the critical section runs through [Thin.sync], so a busy
-          monitor executes it on the current owner instead of parking
-          the fiber. *)
+  fat_backend : Tl_monitor.Fatlock.backend;
+      (** contended-path engine for inflated monitors (thin scheme
+          only) *)
   reap : string;
       (** deflation under the storm ("none" = leave monitors fat): a
           shipped policy name or "controlled" for the feedback
@@ -74,7 +69,7 @@ let default_config =
     count_width = 8;
     quiescence_every = 0;
     scheme = "thin";
-    fat_backend = "parker";
+    fat_backend = Tl_monitor.Fatlock.Parker;
     reap = "none";
     controller = Controller.default_config;
     seed = 0x57084;
@@ -112,11 +107,7 @@ let validate c =
   if c.zipf < 0.0 then invalid_arg "Fiber_storm: zipf";
   if c.scheme <> "thin" && c.scheme <> "cjm" then
     invalid_arg "Fiber_storm: scheme (expected \"thin\" or \"cjm\")";
-  (match Tl_monitor.Fatlock.backend_of_string c.fat_backend with
-  | Some _ -> ()
-  | None ->
-      invalid_arg "Fiber_storm: fat_backend (expected parker, hapax or delegate)");
-  if c.scheme = "cjm" && c.fat_backend <> "parker" then
+  if c.scheme = "cjm" && c.fat_backend <> Tl_monitor.Fatlock.Parker then
     invalid_arg "Fiber_storm: the cjm scheme has no pluggable fat backend";
   if c.reap <> "none" then begin
     (match Policy_lab.reap_of_string ~controller:c.controller c.reap with
@@ -154,13 +145,15 @@ let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
-(* Events per mutator ring: [fibers / in_flight] lease segments each of
-   [ops] episodes, up to ~8 events per contended episode, doubled for
-   headroom against recycling imbalance. *)
-let ring_capacity_for c =
-  let segments = (c.fibers / max 1 c.in_flight) + 1 in
-  let per_segment = (c.ops_per_fiber * 8) + 4 in
-  next_pow2 (max 256 (2 * segments * per_segment))
+(* Events per mutator ring.  Recycling does not spread a run evenly
+   over the leased indices: on two carriers a fiber that lands on the
+   idle one finishes within a rotation and its index is re-leased at
+   once, so one index can host a large share of the run (14% of a
+   5000-fiber, window-512 storm's events in one measured run, against
+   0.2% for the mean index).  So each ring is bounded by the whole
+   run, up to ~8 events per contended episode; the sink's rings grow
+   on demand, so the bound costs nothing for events never written. *)
+let ring_capacity_for c = next_pow2 (max 256 (c.fibers * ((c.ops_per_fiber * 8) + 4)))
 
 (* With a reaper mounted, the system stream also carries every
    concurrent deflation, the per-scan marks and the controller's
@@ -180,23 +173,18 @@ let run ?(trace = true) ?(oracle = true) config =
       Sink.create
         ~ring_capacity:(ring_capacity_for config)
         ~system_capacity:(system_capacity_for config)
-        ()
+        ~grow:true ()
     else Sink.disabled
   in
   (* the runtime-level sink is where overflow marks land *)
   Runtime.set_event_sink runtime sink;
-  let fat_backend =
-    match Tl_monitor.Fatlock.backend_of_string config.fat_backend with
-    | Some b -> b
-    | None -> assert false (* validated above *)
-  in
   let thin_config =
     {
       Thin.default_config with
       count_width = config.count_width;
       (* never put a carrier domain to sleep while fibers are runnable *)
       backoff_policy = Backoff.Yield;
-      fat_backend;
+      fat_backend = config.fat_backend;
     }
   in
   let heap = Tl_heap.Heap.create () in
@@ -227,9 +215,7 @@ let run ?(trace = true) ?(oracle = true) config =
            body is scheme-blind.  [leaked] is the post-drain census: a
            CJM table must be empty once every fiber has released. *)
         (* [episode env o body] is one timed lock episode: the latency
-           sample covers entry — until the fiber holds the monitor, or
-           (delegate backend) until its critical section starts running
-           on whichever fiber combines it. *)
+           sample covers entry, until the fiber holds the monitor. *)
         let episode, leaked =
           match config.scheme with
           | "cjm" ->
@@ -259,20 +245,13 @@ let run ?(trace = true) ?(oracle = true) config =
                   in
                   controller_ref := Some c;
                   Tl_lifecycle.Reaper.on_quiescence ~controller:c runtime ctx);
-              let run =
-                if fat_backend = Tl_monitor.Fatlock.Delegate then fun env o body ->
-                  let t0 = Tl_util.Timer.now_ns () in
-                  Thin.sync ctx env o (fun () ->
-                      record_latency t0;
-                      body ())
-                else fun env o body ->
+              ( (fun env o body ->
                   let t0 = Tl_util.Timer.now_ns () in
                   Thin.acquire ctx env o;
                   record_latency t0;
                   body ();
-                  Thin.release ctx env o
-              in
-              (run, fun () -> 0)
+                  Thin.release ctx env o),
+                fun () -> 0 )
         in
         let objs = Tl_heap.Heap.alloc_many heap config.objects in
         let slots = Atomic.make config.in_flight in
@@ -383,8 +362,9 @@ let pp ppf (r : result) =
     \  throughput   %.0f ops/sec@\n\
     \  acquire lat  p50 %.1fus  p99 %.1fus  p999 %.1fus  max %.1fus@\n\
     \  tid leases   %d distinct indices, %d overflow wait(s)"
-    (if r.config.fat_backend = "parker" then r.config.scheme
-     else r.config.scheme ^ "/" ^ r.config.fat_backend)
+    (match r.config.fat_backend with
+    | Tl_monitor.Fatlock.Parker -> r.config.scheme
+    | b -> r.config.scheme ^ "/" ^ Tl_monitor.Fatlock.backend_name b)
     r.config.fibers r.config.ops_per_fiber r.config.domains
     r.config.objects r.config.zipf r.completed r.elapsed r.ops_per_sec
     r.p50_us r.p99_us r.p999_us r.max_us r.distinct_tids r.overflow_waits;

@@ -33,12 +33,10 @@ type config = {
       (** locking scheme under the storm: ["thin"] (default) or
           ["cjm"], which swaps the header lock word for the transient
           monitor table and verifies against the CJM oracle protocol *)
-  fat_backend : string;
-      (** contended-path engine for inflated monitors: ["parker"]
-          (default), ["hapax"] (FIFO ticket admission) or ["delegate"]
-          (flat combining — critical sections run through [Thin.sync],
-          so a fiber that finds the monitor busy hands its section to
-          the owner instead of parking).  Thin scheme only. *)
+  fat_backend : Tl_monitor.Fatlock.backend;
+      (** contended-path engine for inflated monitors: [Parker]
+          (default) or [Hapax] (FIFO ticket admission).  Thin scheme
+          only. *)
   reap : string;
       (** deflation under the storm: ["none"] (default — monitors stay
           fat once inflated), a shipped policy name
@@ -64,9 +62,7 @@ type result = {
       (** acquire latency percentiles, microseconds, sampled on the
           monotonic ns clock — sub-µs fast-path acquires resolve
           instead of flooring to 0, so p50 orders strictly below the
-          parked tail.  Delegated episodes time until the critical
-          section {e starts executing} (on whichever fiber combines
-          it), the delegation analogue of acquisition. *)
+          parked tail. *)
   p99_us : float;
   p999_us : float;
   max_us : float;

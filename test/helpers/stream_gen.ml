@@ -5,7 +5,11 @@ module Oracle = Tl_events.Oracle
 
 type spec = { threads : int; objects : int; steps : int; seed : int }
 
-type gen = { events : Event.t array; wait_exits : int list }
+type gen = {
+  events : Event.t array;
+  wait_exits : int list;
+  entrant_only_aborts : int list;
+}
 
 (* ------------------------------------------------------------------ *)
 (* Well-formed stream generation.                                     *)
@@ -57,6 +61,7 @@ let generate spec =
   let events = ref [] in
   let count = ref 0 in
   let wait_exits = ref [] in
+  let entrant_only_aborts = ref [] in
   let quiesced = ref 0 in
   let emit tid kind arg =
     events := { Event.seq = !count; tid; kind; arg } :: !events;
@@ -227,6 +232,10 @@ let generate spec =
         o.signals <- 0
     | 1 when busy_fat <> [] ->
         let o = List.nth busy_fat (Prng.int prng (List.length busy_fat)) in
+        (match o.st with
+        | OFat (0, _) when o.waiters = [] ->
+            entrant_only_aborts := !count :: !entrant_only_aborts
+        | _ -> ());
         emit 0 Event.Deflate_aborted o.oid
     | 2 -> emit 0 Event.Reaper_scan (Prng.int prng 3)
     | _ ->
@@ -315,6 +324,7 @@ let generate spec =
   {
     events = Array.of_list (List.rev !events);
     wait_exits = List.rev !wait_exits;
+    entrant_only_aborts = List.rev !entrant_only_aborts;
   }
 
 let drained g = { Sink.events = g.events; dropped = [] }
@@ -426,8 +436,19 @@ let mutate ~seed g =
         add "dup-deflate" Oracle.Deflation_without_handshake (fun () ->
             renumber (insert_after arr i e))
     | Event.Deflate_aborted ->
-        add "retag-aborted-as-deflated" Oracle.Deflation_without_handshake
-          (fun () -> renumber (retag arr i Event.Deflate_quiescent))
+        (* Open contended episodes do not pin a monitor: a real entrant
+           popped from the entry queue but not yet holding the monitor
+           is turned away with [`Retired] and never closes its
+           episode.  So when only queued entrants kept the monitor
+           busy, the forged deflation itself is legal and the fault
+           surfaces at the first entrant's fat acquire on the
+           now-flat object. *)
+        let expected =
+          if List.mem i g.entrant_only_aborts then Oracle.Stale_handle
+          else Oracle.Deflation_without_handshake
+        in
+        add "retag-aborted-as-deflated" expected (fun () ->
+            renumber (retag arr i Event.Deflate_quiescent))
     | Event.Reaper_scan | Event.Quiescence | Event.Tid_overflow
     | Event.Policy_switch ->
         if i < n - 1 then

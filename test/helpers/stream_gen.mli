@@ -29,6 +29,11 @@ type gen = {
       (** indices of [Release_fat] events that are a waiter's first
           action after an (invisible) notify resume — the events whose
           removal loses a wakeup *)
+  entrant_only_aborts : int list;
+      (** indices of [Deflate_aborted] events on an unowned,
+          waiter-free monitor that only queued entrants kept busy —
+          retagged as a deflation they forge a legal deflation
+          followed by a stale fat acquire *)
 }
 
 val generate : spec -> gen

@@ -59,18 +59,25 @@ let test_kind_masks () =
 (* --- ring --- *)
 
 let test_ring_overflow_drops_suffix () =
-  let ring = Ring.create 8 in
-  for i = 0 to 10 do
-    Ring.emit ring ~stamp:i ~kind:Event.Acquire_fast ~arg:(100 + i)
-  done;
-  check_int "written caps at capacity" 8 (Ring.written ring);
-  check_int "overflow counted" 3 (Ring.dropped ring);
-  check_int "capacity" 8 (Ring.capacity ring);
-  (* the surviving prefix is intact and in write order *)
-  let stamps =
-    List.rev (Ring.fold (fun acc ~stamp ~kind:_ ~arg:_ -> stamp :: acc) [] ring)
-  in
-  check "prefix, in order" true (stamps = [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+  (* a preallocated ring, and a growing one that doubles past its
+     initial allocation before it fills *)
+  List.iter
+    (fun (grow, capacity) ->
+      let ring = Ring.create ~grow capacity in
+      for i = 0 to capacity + 2 do
+        Ring.emit ring ~stamp:i ~kind:Event.Acquire_fast ~arg:(100 + i)
+      done;
+      check_int "written caps at capacity" capacity (Ring.written ring);
+      check_int "overflow counted" 3 (Ring.dropped ring);
+      check_int "capacity" capacity (Ring.capacity ring);
+      (* the surviving prefix is intact and in write order *)
+      let events =
+        List.rev
+          (Ring.fold (fun acc ~stamp ~kind:_ ~arg -> (stamp, arg) :: acc) [] ring)
+      in
+      check "prefix, in order" true
+        (events = List.init capacity (fun i -> (i, 100 + i))))
+    [ (false, 8); (true, 1000) ]
 
 let test_ring_packs_wide_stamps () =
   let ring = Ring.create 4 in
@@ -139,16 +146,26 @@ let test_sink_rejects_out_of_range_tids () =
   check_int "no further clamps" 3 (Sink.tid_clamped sink)
 
 let test_sink_reports_drops_per_tid () =
-  let sink = Sink.create ~ring_capacity:16 () in
-  for i = 1 to 100 do
-    Sink.emit sink ~tid:5 ~kind:Event.Release_fast ~arg:i
-  done;
-  Sink.emit sink ~tid:2 ~kind:Event.Quiescence ~arg:0;
-  let d = Sink.drain sink in
-  check_int "accepted = recorded + dropped" 101 (Sink.emitted sink);
-  check "per-tid drop counts" true (d.Sink.dropped = [ (5, 84) ]);
-  check_int "total_dropped" 84 (Sink.total_dropped sink);
-  check_int "count_kind sees survivors" 16 (Sink.count_kind d Event.Release_fast)
+  (* preallocated rings, and growing ones that double on the emit path *)
+  List.iter
+    (fun (grow, ring_capacity) ->
+      let sink = Sink.create ~ring_capacity ~grow () in
+      for i = 1 to ring_capacity + 84 do
+        Sink.emit sink ~tid:5 ~kind:Event.Release_fast ~arg:i
+      done;
+      Sink.emit sink ~tid:2 ~kind:Event.Quiescence ~arg:0;
+      let d = Sink.drain sink in
+      check_int "accepted = recorded + dropped" (ring_capacity + 85) (Sink.emitted sink);
+      check "per-tid drop counts" true (d.Sink.dropped = [ (5, 84) ]);
+      check_int "total_dropped" 84 (Sink.total_dropped sink);
+      check_int "count_kind sees survivors" ring_capacity
+        (Sink.count_kind d Event.Release_fast);
+      check "survivors are the prefix, in order" true
+        (List.filter_map
+           (fun e -> if e.Event.tid = 5 then Some e.Event.arg else None)
+           (Array.to_list d.Sink.events)
+        = List.init ring_capacity (fun i -> i + 1)))
+    [ (false, 16); (true, 600) ]
 
 (* Regression (drop-induced seq holes): the old global ticket was
    consumed even when the ring dropped the event, so streams with drops

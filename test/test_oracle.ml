@@ -257,6 +257,25 @@ let prop_mutations_flagged =
                 (Oracle.class_name m.Stream_gen.m_expected)
                 (report_str r)))
 
+(* A forged deflation of a monitor that only queued entrants keep busy
+   is legal on its own (open contended episodes do not pin a monitor);
+   the oracle must flag the queued entrant's later fat acquire as a
+   stale handle, and the unmutated stream must stay clean. *)
+let test_entrant_only_abort_retag_is_stale_handle () =
+  let spec = { Stream_gen.threads = 4; objects = 1; steps = 39; seed = 385134 } in
+  let g = Stream_gen.generate spec in
+  assert_clean (Stream_gen.drained g);
+  match Stream_gen.mutate ~seed:(spec.Stream_gen.seed + 1) g with
+  | None -> Alcotest.fail "no mutation site"
+  | Some m ->
+      Alcotest.(check string) "mutation" "retag-aborted-as-deflated" m.Stream_gen.m_name;
+      check "expects stale-handle" true (m.Stream_gen.m_expected = Oracle.Stale_handle);
+      let r = Oracle.check m.Stream_gen.m_stream in
+      check "no deflation finding" true (Oracle.find r Oracle.Deflation_without_handshake = None);
+      (match Oracle.find r Oracle.Stale_handle with
+      | Some v -> check_int "at the queued entrant's acquire" 16 v.Oracle.seq
+      | None -> Alcotest.failf "stale handle not flagged: %s" (report_str r))
+
 let test_mutation_catalogue_covers_all_classes () =
   (* walk seeds until every violation class has been produced by some
      mutation — the property above then checks each is detected *)
@@ -435,9 +454,8 @@ let test_replay_par_stream_accepted name domains mode () =
       (report_str r)
 
 (* Same acceptance checks with a non-default contended-path backend:
-   hapax admission (and delegation) must emit streams the protocol
-   oracle verifies under the same strict/relaxed rules as the parker
-   entry queue. *)
+   hapax admission must emit streams the protocol oracle verifies
+   under the same strict/relaxed rules as the parker entry queue. *)
 let test_replay_backend_stream_accepted name backend () =
   let _ctx, d =
     Policy_lab.replay_traced ~fat_backend:backend ~policy:(policy "always-idle")
@@ -776,6 +794,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_mutations_flagged;
           Alcotest.test_case "catalogue covers every class" `Quick
             test_mutation_catalogue_covers_all_classes;
+          Alcotest.test_case "entrant-only abort retag is a stale handle" `Quick
+            test_entrant_only_abort_retag_is_stale_handle;
         ] );
       ( "seeded sim bugs",
         [
@@ -815,9 +835,6 @@ let () =
           Alcotest.test_case "javacup par 2 domains (shuffle, hapax)" `Quick
             (test_replay_par_backend_stream_accepted "javacup" 2
                Parallel_replay.Shuffle Tl_monitor.Fatlock.Hapax);
-          Alcotest.test_case "javacup par 2 domains (shuffle, delegate)" `Quick
-            (test_replay_par_backend_stream_accepted "javacup" 2
-               Parallel_replay.Shuffle Tl_monitor.Fatlock.Delegate);
         ] );
       ( "policy switches",
         [

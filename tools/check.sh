@@ -107,7 +107,7 @@ assert oh["violations"] == 0, "oracle flagged a clean replay stream"
 for key in ("strict_ns_per_event", "relaxed_ns_per_event", "residency_ns_per_event"):
     assert oh[key] >= 0.0, key
 fb = d["scenarios"]["fat_backend"]
-all_backends = {"parker", "hapax", "delegate"}
+all_backends = {"parker", "hapax"}
 fbr = fb["replay_par"]
 assert {r["backend"] for r in fbr} == all_backends, "replay_par head-to-head incomplete"
 for r in fbr:
@@ -118,6 +118,7 @@ assert {r["backend"] for r in fbs} == all_backends, "fiber_storm head-to-head in
 for r in fbs:
     assert r["ops_per_sec"] > 0
     assert r["oracle_clean"], "%s-backend storm stream failed the oracle" % r["backend"]
+    assert r["dropped"] == 0, "%s-backend storm trace dropped events" % r["backend"]
 fairness = fb["fairness"]
 assert {r["backend"] for r in fairness} == all_backends, "fairness table incomplete"
 for r in fairness:
@@ -161,6 +162,9 @@ assert st["tail_ratio_p99"] <= 1.25, \
     % (st["controlled"]["p99_us"], st["tail_ratio_p99"], st["best_fixed_p99_us"])
 assert st["controlled"]["reaper_scans"] > 0, "controlled storm never scanned"
 assert st["shards"], "controlled storm shard snapshots missing"
+cs = d["scenarios"]["code_size"]
+for tree in ("lib", "bin", "bench"):
+    assert cs[tree] > 0, "code_size: no %s/ source counted" % tree
 ev = d["scenarios"]["events_overhead"]
 assert ev["enabled_ns"] < 25.0, \
     "tracing overhead %.1f ns/event blows the always-on budget" % ev["enabled_ns"]
@@ -180,6 +184,8 @@ print("  fiber storm peak: %d fibers at %.0f ops/sec (p99 %.0f us)"
          fs[-1]["p99_us"]))
 print("  tracing: %.1f ns/event enabled overhead; %.1f text vs %.1f bin bytes/event"
       % (ev["enabled_ns"], ev["text_bytes_per_event"], ev["bin_bytes_per_event"]))
+print("  code size: %d lines of .ml/.mli (lib %d, bin %d, bench %d)"
+      % (cs["total"], cs["lib"], cs["bin"], cs["bench"]))
 print("  controller: score ratios %s; storm tail %.3fx best fixed, %d switch(es)"
       % ({r["bench"]: round(r["score_ratio"], 3) for r in reps},
          st["tail_ratio_p99"], st["policy_switches"]))
@@ -198,6 +204,7 @@ else
   grep -q '"controller"' BENCH.json
   grep -q '"tail_ratio_p99"' BENCH.json
   grep -q '"chosen_policies"' BENCH.json
+  grep -q '"code_size"' BENCH.json
   echo "BENCH.json: key smoke (python3 unavailable)"
 fi
 
@@ -265,9 +272,6 @@ for domains in 1 2 4; do
     --fat-backend hapax --shuffle --interleave --max-syncs 6000 --oracle >/dev/null
   echo "  hapax oracle clean at $domains domain(s), both decompositions"
 done
-dune exec bin/thinlocks.exe -- replay-par -b javacup --domains 2 --fat-backend delegate \
-  --shuffle --interleave --max-syncs 6000 --oracle >/dev/null
-echo "  delegate oracle clean at 2 domains (shuffle)"
 
 echo "== controlled reaper: protocol oracle over replay-par streams (1/2/4 domains)"
 for domains in 1 2 4; do
