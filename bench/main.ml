@@ -469,6 +469,15 @@ let bench_reaper () =
          ("reaper_scans", J.Int (extra "reaper.scans"));
        ])
 
+(* The traced replay the stream sections measure: thin locks deflating
+   every idle monitor at each quiescence point. *)
+let always_idle =
+  Tl_workload.Policy_lab.Thin
+    {
+      fat_backend = Tl_monitor.Fatlock.Parker;
+      reap = Reap_fixed Tl_lifecycle.Policy.always_idle;
+    }
+
 (* Tracing overhead: the identical private-object lock/unlock loop
    with the event sink disabled vs enabled.  Disabled must be free —
    the ctx caches the enabled bit, so the fast path pays one load and
@@ -543,13 +552,8 @@ let bench_events_overhead () =
     Tl_workload.Tracegen.generate ~seed:77 ~max_syncs:(if quick then 3_000 else 8_000)
       profile
   in
-  let policy =
-    match Tl_workload.Policy_lab.policy_of_string "always-idle" with
-    | Some p -> p
-    | None -> failwith "bench_events_overhead: always-idle policy missing"
-  in
   let stream ?sampling () =
-    snd (Tl_workload.Policy_lab.replay_traced ?sampling ~policy trace)
+    (Tl_workload.Policy_lab.replay_traced ?sampling always_idle trace).drained
   in
   let full = stream () in
   let n_full = max 1 (Array.length full.Tl_events.Sink.events) in
@@ -598,13 +602,8 @@ let bench_oracle_overhead () =
     | None -> failwith "bench_oracle_overhead: javacup profile missing"
   in
   let trace = Tl_workload.Tracegen.generate ~seed:1998 ~max_syncs profile in
-  let policy =
-    match Tl_workload.Policy_lab.policy_of_string "always-idle" with
-    | Some p -> p
-    | None -> failwith "bench_oracle_overhead: always-idle policy missing"
-  in
   let t0 = Unix.gettimeofday () in
-  let _ctx, drained = Tl_workload.Policy_lab.replay_traced ~policy trace in
+  let drained = (Tl_workload.Policy_lab.replay_traced always_idle trace).drained in
   let replay_s = Unix.gettimeofday () -. t0 in
   let events = Array.length drained.Tl_events.Sink.events in
   let per_event seconds = 1e9 *. seconds /. float_of_int (max 1 events) in
@@ -1041,17 +1040,23 @@ let bench_controller () =
         | None -> failwith ("bench_controller: unknown benchmark " ^ bench)
       in
       let trace = Tl_workload.Tracegen.generate ~seed:1998 ~max_syncs profile in
+      let replay reap =
+        PL.replay_traced (PL.Thin { fat_backend = Tl_monitor.Fatlock.Parker; reap }) trace
+      in
       let fixed =
-        List.map (fun policy -> PL.run_one ~policy trace) PL.shipped_policies
+        List.map
+          (fun p ->
+            PL.score_stream ~label:p.Tl_lifecycle.Policy.name
+              (replay (PL.Reap_fixed p)).PL.drained)
+          PL.shipped_policies
       in
       let best =
         List.fold_left
           (fun acc s -> if PL.lab_score s < PL.lab_score acc then s else acc)
           (List.hd fixed) (List.tl fixed)
       in
-      let controller, ctl =
-        PL.run_one_reap ~reap:(PL.Reap_controlled Ctl.default_config) trace
-      in
+      let { PL.controller; drained; _ } = replay (PL.Reap_controlled Ctl.default_config) in
+      let ctl = PL.score_stream ~label:"controlled" drained in
       let score_ratio = PL.lab_score ctl /. Float.max 1e-9 (PL.lab_score best) in
       let switches =
         match controller with Some c -> Ctl.switches_total c | None -> 0
@@ -1450,9 +1455,16 @@ let () =
 
   section "Policy lab, parallel: policies under real contention (4 domains, shuffle)";
   print_string
-    (Tl_workload.Policy_lab.table_par
+    (Tl_workload.Policy_lab.table
        ~max_syncs:(if quick then 4_000 else 10_000)
-       ~domains:4 ~mode:Tl_workload.Parallel_replay.Shuffle ());
+       ~par:
+         {
+           Tl_workload.Policy_lab.domains = 4;
+           mode = Tl_workload.Parallel_replay.Shuffle;
+           interleave = true;
+           backend = Tl_workload.Parallel_replay.Os_domains;
+         }
+       ());
   flush stdout;
 
   write_bench_json ();

@@ -18,6 +18,17 @@ let iterations_arg default =
   let doc = "Iterations per micro-benchmark kernel." in
   Arg.(value & opt int default & info [ "iterations"; "n" ] ~docv:"N" ~doc)
 
+let benchmark_arg default =
+  let doc = "Benchmark profile the trace is generated from." in
+  Arg.(value & opt string default & info [ "benchmark"; "b" ] ~docv:"NAME" ~doc)
+
+(* Registry-wide subcommands take [Arg.string] names; the traced ones
+   take [lab_schemes], the two schemes with an oracle protocol. *)
+let scheme_arg names default ~doc =
+  Arg.(value & opt names default & info [ "scheme"; "s" ] ~docv:"SCHEME" ~doc)
+
+let lab_schemes = Arg.enum [ ("thin", `Thin); ("cjm", `Cjm) ]
+
 let print s =
   print_string s;
   if String.length s = 0 || s.[String.length s - 1] <> '\n' then print_newline ()
@@ -88,10 +99,6 @@ let micro_cmd =
                callsync, nestedcallsync, threads:N." in
     Arg.(value & opt string "sync" & info [ "kernel"; "k" ] ~docv:"KERNEL" ~doc)
   in
-  let scheme_arg =
-    let doc = "Locking scheme (registry name)." in
-    Arg.(value & opt string "thin" & info [ "scheme"; "s" ] ~docv:"SCHEME" ~doc)
-  in
   let list_arg =
     let doc = "List available kernels and schemes, then exit." in
     Arg.(value & flag & info [ "list" ] ~doc)
@@ -124,13 +131,12 @@ let micro_cmd =
   in
   Cmd.v
     (Cmd.info "micro" ~doc:"Run one micro-benchmark kernel under one scheme")
-    Term.(const run $ iterations_arg 200_000 $ kernel_arg $ scheme_arg $ list_arg)
+    Term.(
+      const run $ iterations_arg 200_000 $ kernel_arg
+      $ scheme_arg Arg.string "thin" ~doc:"Locking scheme (registry name)."
+      $ list_arg)
 
 let trace_cmd =
-  let benchmark_arg =
-    let doc = "Benchmark profile to generate a trace for." in
-    Arg.(value & opt string "javalex" & info [ "benchmark"; "b" ] ~docv:"NAME" ~doc)
-  in
   let output_arg =
     let doc = "Output file (stdout if omitted)." in
     Arg.(value & opt (some string) None & info [ "output"; "o" ] ~docv:"FILE" ~doc)
@@ -150,23 +156,52 @@ let trace_cmd =
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Generate a lock trace and serialize it")
-    Term.(const run $ benchmark_arg $ output_arg $ max_syncs_arg $ seed_arg)
+    Term.(const run $ benchmark_arg "javalex" $ output_arg $ max_syncs_arg $ seed_arg)
+
+(* Re-replay [trace] with event tracing on and verify the drained
+   stream with the protocol oracle (strict on one domain, relaxed
+   above); exit 1 on a violation or a leaked CJM table entry.  Scheme
+   "cjm" replays the transient table under the CJM protocol variant;
+   any other replays the thin lock (1-bit nest count) under [reap]. *)
+let verify_traced_replay ?par ~scheme_name ~fat_backend ~reap trace =
+  let module PL = Tl_workload.Policy_lab in
+  let module O = Tl_events.Oracle in
+  let lock, protocol, count_width =
+    if String.equal scheme_name "cjm" then (PL.Cjm, O.Cjm, None)
+    else (PL.Thin { fat_backend; reap }, O.Thin_lock, Some 1)
+  in
+  let r = PL.replay_traced ?par lock trace in
+  if r.PL.leaked_entries <> 0 then begin
+    Printf.eprintf "cjm: %d table entries leaked after the replay drained\n"
+      r.PL.leaked_entries;
+    exit 1
+  end;
+  Option.iter
+    (fun c ->
+      Printf.printf
+        "controller: %d policy switch(es) across %d shard(s) in the verified stream\n"
+        (Tl_lifecycle.Controller.switches_total c)
+        (Tl_lifecycle.Controller.nshards c))
+    r.PL.controller;
+  let mode =
+    match par with Some p when p.PL.domains > 1 -> O.Relaxed | _ -> O.Strict
+  in
+  let report = O.check ~mode ~protocol ?count_width r.PL.drained in
+  Format.printf "%a@." O.pp report;
+  if not (O.ok report) then exit 1
 
 let replay_cmd =
   let file_arg =
     let doc = "Trace file produced by 'thinlocks trace'." in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
   in
-  let scheme_arg =
-    let doc = "Locking scheme." in
-    Arg.(value & opt string "thin" & info [ "scheme"; "s" ] ~docv:"SCHEME" ~doc)
-  in
   let oracle_arg =
     let doc = "After the timed replay, re-replay the trace with event tracing on \
                and verify the stream with the protocol oracle; exit 1 on \
                violation.  The traced re-replay runs the thin scheme (1-bit \
-               nest count) unless --scheme is cjm, which re-replays CJM and \
-               checks the no-deflation-handshake protocol variant." in
+               nest count) unless --scheme is cjm, which re-replays CJM, \
+               checks the no-deflation-handshake protocol variant, and \
+               asserts the monitor table drained." in
     Arg.(value & flag & info [ "oracle" ] ~doc)
   in
   let run file scheme_name oracle =
@@ -182,32 +217,19 @@ let replay_cmd =
       (result.Tl_workload.Replay.elapsed *. 1e9
       /. float_of_int (max 1 (2 * result.Tl_workload.Replay.acquires)));
     Format.printf "%a@." Tl_core.Lock_stats.pp result.Tl_workload.Replay.stats;
-    if oracle then begin
-      let report =
-        if String.equal scheme_name "cjm" then begin
-          let _ctx, drained = Tl_workload.Policy_lab.replay_traced_cjm trace in
-          Tl_events.Oracle.check ~mode:Tl_events.Oracle.Strict
-            ~protocol:Tl_events.Oracle.Cjm drained
-        end
-        else begin
-          let policy = Option.get (Tl_workload.Policy_lab.policy_of_string "never") in
-          let _ctx, drained = Tl_workload.Policy_lab.replay_traced ~policy trace in
-          Tl_events.Oracle.check ~mode:Tl_events.Oracle.Strict ~count_width:1 drained
-        end
-      in
-      Format.printf "%a@." Tl_events.Oracle.pp report;
-      if not (Tl_events.Oracle.ok report) then exit 1
-    end
+    if oracle then
+      verify_traced_replay ~scheme_name ~fat_backend:Tl_monitor.Fatlock.Parker
+        ~reap:(Tl_workload.Policy_lab.Reap_fixed Tl_lifecycle.Policy.never)
+        trace
   in
   Cmd.v
     (Cmd.info "replay" ~doc:"Replay a serialized trace under a scheme")
-    Term.(const run $ file_arg $ scheme_arg $ oracle_arg)
+    Term.(
+      const run $ file_arg
+      $ scheme_arg Arg.string "thin" ~doc:"Locking scheme (registry name)."
+      $ oracle_arg)
 
 let stress_cmd =
-  let scheme_arg =
-    let doc = "Scheme to stress." in
-    Arg.(value & opt string "thin" & info [ "scheme"; "s" ] ~docv:"SCHEME" ~doc)
-  in
   let seconds_arg =
     let doc = "How long to run." in
     Arg.(value & opt float 5.0 & info [ "seconds" ] ~docv:"S" ~doc)
@@ -261,7 +283,10 @@ let stress_cmd =
   Cmd.v
     (Cmd.info "stress"
        ~doc:"Chaos-stress a scheme under an independent semantics validator")
-    Term.(const run $ scheme_arg $ seconds_arg $ threads_arg)
+    Term.(
+      const run
+      $ scheme_arg Arg.string "thin" ~doc:"Scheme to stress (registry name)."
+      $ seconds_arg $ threads_arg)
 
 let sim_cmd =
   let run () =
@@ -298,10 +323,6 @@ let sim_cmd =
     Term.(const run $ const ())
 
 let events_cmd =
-  let benchmark_arg =
-    let doc = "Benchmark profile to trace." in
-    Arg.(value & opt string "javalex" & info [ "benchmark"; "b" ] ~docv:"NAME" ~doc)
-  in
   let policy_arg =
     let doc = "Deflation policy driving the quiescence-hooked reaper during the replay \
                (never, always-idle, idle-for-4, zero-contended-episodes)." in
@@ -352,8 +373,12 @@ let events_cmd =
               | n, false -> Some (Tl_events.Sink.One_in_n n)
             in
             let trace = Tl_workload.Tracegen.generate ~seed ~max_syncs profile in
-            let _ctx, drained =
-              Tl_workload.Policy_lab.replay_traced ?sampling ~policy trace
+            let drained =
+              (Tl_workload.Policy_lab.replay_traced ?sampling
+                 (Tl_workload.Policy_lab.Thin
+                    { fat_backend = Tl_monitor.Fatlock.Parker; reap = Reap_fixed policy })
+                 trace)
+                .drained
             in
             if summary then begin
               Printf.printf "%d events (%d dropped) from %s under %s:\n"
@@ -385,8 +410,8 @@ let events_cmd =
     (Cmd.info "events"
        ~doc:"Replay a benchmark trace with lock-event tracing on and dump the stream")
     Term.(
-      const run $ benchmark_arg $ policy_arg $ output_arg $ summary_arg $ binary_arg
-      $ sample_arg $ contended_arg $ max_syncs_arg $ seed_arg)
+      const run $ benchmark_arg "javalex" $ policy_arg $ output_arg $ summary_arg
+      $ binary_arg $ sample_arg $ contended_arg $ max_syncs_arg $ seed_arg)
 
 let backend_arg =
   let doc =
@@ -523,10 +548,11 @@ let policy_lab_cmd =
     Arg.(value & flag & info [ "affinity" ] ~doc)
   in
   let lab_scheme_arg =
-    let doc = "Lock under the lab: 'thin' (default; one table row per deflation \
-               policy) or 'cjm' (the headerless transient monitor table — no \
-               policy dimension, one head-to-head row per trace)." in
-    Arg.(value & opt string "thin" & info [ "scheme" ] ~docv:"SCHEME" ~doc)
+    scheme_arg lab_schemes `Thin
+      ~doc:
+        "Lock under the lab: $(b,thin) (default; one table row per deflation \
+         policy) or $(b,cjm) (the headerless transient monitor table — no \
+         policy dimension, one head-to-head row per trace)."
   in
   let lab_reap_arg =
     reap_arg ~default:"none"
@@ -537,7 +563,7 @@ let policy_lab_cmd =
   in
   let run max_syncs seed benchmarks domains affinity backend scheme fat_backend reap
       ctl =
-    if scheme = "cjm" && fat_backend <> Tl_monitor.Fatlock.Parker then begin
+    if scheme = `Cjm && fat_backend <> Tl_monitor.Fatlock.Parker then begin
       Printf.eprintf "the cjm scheme has no pluggable fat backend\n";
       exit 2
     end;
@@ -552,18 +578,18 @@ let policy_lab_cmd =
             r;
           exit 2
     in
-    if domains <= 1 then
-      print
-        (Tl_workload.Policy_lab.table ~max_syncs ~seed ~benchmarks ~scheme
-           ~fat_backend ?controlled ())
-    else
-      let mode =
-        if affinity then Tl_workload.Parallel_replay.Affinity
-        else Tl_workload.Parallel_replay.Shuffle
-      in
-      print
-        (Tl_workload.Policy_lab.table_par ~max_syncs ~seed ~benchmarks ~backend
-           ~scheme ~fat_backend ?controlled ~domains ~mode ())
+    let par =
+      if domains <= 1 then None
+      else
+        let mode =
+          if affinity then Tl_workload.Parallel_replay.Affinity
+          else Tl_workload.Parallel_replay.Shuffle
+        in
+        Some { Tl_workload.Policy_lab.domains; mode; interleave = true; backend }
+    in
+    print
+      (Tl_workload.Policy_lab.table ~max_syncs ~seed ~benchmarks ~scheme ~fat_backend
+         ?controlled ?par ())
   in
   Cmd.v
     (Cmd.info "policy-lab"
@@ -575,10 +601,6 @@ let policy_lab_cmd =
 
 let replay_par_cmd =
   let module PR = Tl_workload.Parallel_replay in
-  let benchmark_arg =
-    let doc = "Benchmark profile to generate the replayed trace from." in
-    Arg.(value & opt string "javacup" & info [ "benchmark"; "b" ] ~docv:"NAME" ~doc)
-  in
   let domains_arg =
     let doc = "Worker domains." in
     Arg.(value & opt int 2 & info [ "domains"; "d" ] ~docv:"N" ~doc)
@@ -587,10 +609,6 @@ let replay_par_cmd =
     let doc = "Break per-object affinity: deal episodes round-robin so consecutive \
                episodes of hot objects overlap across domains (manufactures contention)." in
     Arg.(value & flag & info [ "shuffle" ] ~doc)
-  in
-  let scheme_arg =
-    let doc = "Locking scheme (registry name)." in
-    Arg.(value & opt string "thin" & info [ "scheme"; "s" ] ~docv:"SCHEME" ~doc)
   in
   let work_arg =
     let doc = "Spin-work iterations per replayed op (lengthens critical sections)." in
@@ -633,6 +651,13 @@ let replay_par_cmd =
   let run benchmark domains shuffle scheme_name work tick_every interleave expect oracle
       backend max_syncs seed fat_backend reap ctl =
     let scheme_name = apply_fat_backend scheme_name fat_backend in
+    let reap =
+      match Tl_workload.Policy_lab.reap_of_string ~controller:ctl reap with
+      | Some r -> r
+      | None ->
+          Printf.eprintf "unknown --reap mode %S (policy name or controlled)\n" reap;
+          exit 2
+    in
     match Tl_workload.Profiles.find benchmark with
     | None ->
         Printf.eprintf "unknown benchmark %S\n" benchmark;
@@ -643,13 +668,7 @@ let replay_par_cmd =
         let attempt () =
           let runtime = Tl_runtime.Runtime.create () in
           let scheme = Tl_baselines.Registry.find_exn scheme_name runtime in
-          let tick env =
-            Tl_runtime.Runtime.quiescence_point ~env runtime;
-            if interleave then
-              match backend with
-              | PR.Os_domains -> Unix.sleepf 5e-5
-              | PR.Fibers -> Tl_fiber.Scheduler.sleep 5e-5
-          in
+          let tick = PR.quiescence_tick ~interleave ~backend runtime in
           let config =
             {
               PR.default_config with
@@ -704,57 +723,18 @@ let replay_par_cmd =
           Printf.eprintf "expected contention but every attempt replayed contention-free\n";
           exit 1
         end;
-        if oracle then begin
-          let omode =
-            if domains <= 1 then Tl_events.Oracle.Strict else Tl_events.Oracle.Relaxed
-          in
-          let report =
-            if String.equal scheme_name "cjm" then begin
-              let _r, ctx, drained =
-                Tl_workload.Policy_lab.replay_traced_par_cjm ~interleave ~backend
-                  ~domains ~mode trace
-              in
-              let leaked = Tl_cjm.Cjm.live_entries ctx in
-              if leaked <> 0 then begin
-                Printf.eprintf "cjm: %d table entries leaked after the replay drained\n"
-                  leaked;
-                exit 1
-              end;
-              Tl_events.Oracle.check ~mode:omode ~protocol:Tl_events.Oracle.Cjm drained
-            end
-            else begin
-              let reap_mode =
-                match Tl_workload.Policy_lab.reap_of_string ~controller:ctl reap with
-                | Some r -> r
-                | None ->
-                    Printf.eprintf
-                      "unknown --reap mode %S (policy name or controlled)\n" reap;
-                    exit 2
-              in
-              let _r, controller, drained =
-                Tl_workload.Policy_lab.replay_traced_par_reap ~interleave ~backend
-                  ~fat_backend ~domains ~mode ~reap:reap_mode trace
-              in
-              (match controller with
-              | Some c ->
-                  Printf.printf
-                    "controller: %d policy switch(es) across %d shard(s) in the \
-                     verified stream\n"
-                    (Tl_lifecycle.Controller.switches_total c)
-                    (Tl_lifecycle.Controller.nshards c)
-              | None -> ());
-              Tl_events.Oracle.check ~mode:omode ~count_width:1 drained
-            end
-          in
-          Format.printf "%a@." Tl_events.Oracle.pp report;
-          if not (Tl_events.Oracle.ok report) then exit 1
-        end
+        if oracle then
+          verify_traced_replay
+            ~par:{ Tl_workload.Policy_lab.domains; mode; interleave; backend }
+            ~scheme_name ~fat_backend ~reap trace
   in
   Cmd.v
     (Cmd.info "replay-par"
        ~doc:"Replay a macro trace across N domains through the work-stealing scheduler")
     Term.(
-      const run $ benchmark_arg $ domains_arg $ shuffle_arg $ scheme_arg $ work_arg
+      const run $ benchmark_arg "javacup" $ domains_arg $ shuffle_arg
+      $ scheme_arg Arg.string "thin" ~doc:"Locking scheme (registry name)."
+      $ work_arg
       $ tick_every_arg $ interleave_arg $ expect_contention_arg $ oracle_arg
       $ backend_arg $ max_syncs_arg $ seed_arg $ fat_backend_arg $ par_reap_arg
       $ controller_config_term)
@@ -804,11 +784,10 @@ let fiber_storm_cmd =
     Arg.(value & flag & info [ "no-oracle" ] ~doc)
   in
   let storm_scheme_arg =
-    let doc =
-      "Locking scheme under the storm: $(b,thin) (header lock word) or \
-       $(b,cjm) (headerless transient monitor table)."
-    in
-    Arg.(value & opt string "thin" & info [ "scheme" ] ~docv:"SCHEME" ~doc)
+    scheme_arg lab_schemes `Thin
+      ~doc:
+        "Locking scheme under the storm: $(b,thin) (header lock word) or \
+         $(b,cjm) (headerless transient monitor table)."
   in
   let storm_reap_arg =
     reap_arg ~default:"none"
@@ -831,7 +810,7 @@ let fiber_storm_cmd =
         in_flight;
         arrival_rate = rate;
         yield_in_cs = not no_yield;
-        scheme;
+        scheme = (match scheme with `Thin -> "thin" | `Cjm -> "cjm");
         fat_backend;
         reap;
         controller = ctl;

@@ -8,7 +8,6 @@ type config = {
   count_width : int;
   backoff_policy : Backoff.policy;
   unlock_with_cas : bool;
-  extra_fence : bool;
   record_stats : bool;
   fat_backend : Fatlock.backend;
 }
@@ -18,7 +17,6 @@ let default_config =
     count_width = Header.count_width;
     backoff_policy = Backoff.Yield_sleep;
     unlock_with_cas = false;
-    extra_fence = false;
     record_stats = true;
     fat_backend = Fatlock.Parker;
   }
@@ -29,7 +27,6 @@ type ctx = {
   stats : Lock_stats.t;
   nested_limit : int;
   config : config;
-  fence_pad : int Atomic.t; (* target of the MP Sync variant's extra atomic op *)
   events : Tl_events.Sink.t;
   tracing : bool;
       (* [Sink.enabled events], cached in the ctx so the fast path pays
@@ -57,7 +54,6 @@ let create_with ?(config = default_config) ?(events = Tl_events.Sink.disabled) r
     stats;
     nested_limit = Header.nested_limit_for ~count_width:config.count_width;
     config;
-    fence_pad = Atomic.make 0;
     events;
     tracing = Tl_events.Sink.enabled events;
   }
@@ -78,11 +74,6 @@ let[@inline] emit ctx ~tid kind ~arg = Tl_events.Sink.emit ctx.events ~tid ~kind
    releases that made the deflation legal. *)
 let emit_system ctx kind ~arg = Tl_events.Sink.emit_system ctx.events ~kind ~arg
 let lock_word obj = Atomic.get (Obj_model.lockword obj)
-
-(* Stand-in for the PowerPC isync/sync pair of the MP Sync variant: a
-   real atomic read-modify-write, the closest full-barrier operation
-   OCaml exposes. *)
-let fence ctx = if ctx.config.extra_fence then ignore (Atomic.fetch_and_add ctx.fence_pad 1)
 
 let my_index (env : Runtime.env) = env.descriptor.Tid.index
 
@@ -144,7 +135,6 @@ let rec contended ctx env obj backoff =
     end
 
 and acquire ctx env obj =
-  fence ctx;
   let lw = Obj_model.lockword obj in
   let word = Atomic.get lw in
   (* "old value": the lock word with the high 24 bits masked out *)
@@ -259,7 +249,6 @@ let not_owner op env word =
           (Header.describe word)))
 
 let release ctx env obj =
-  fence ctx;
   let lw = Obj_model.lockword obj in
   let word = Atomic.get lw in
   let held_once_pattern = Header.hdr_bits word lor env.Runtime.shifted_index in

@@ -17,7 +17,11 @@
 
     The {!config} knobs correspond to the paper's Fig. 6 variants and
     §3.2's count-width conjecture; defaults reproduce the paper's
-    final "ThinLock" configuration. *)
+    final "ThinLock" configuration.  The Fig. 6 [MP Sync] variant is
+    not a knob: [Tl_baselines.Registry]'s ["thin-mpsync"] wraps
+    {!acquire} and {!release} with one extra atomic round-trip each,
+    so the fence runs once per call and is not repeated by the
+    slow-path retries inside {!acquire}. *)
 
 type config = {
   count_width : int;
@@ -27,10 +31,6 @@ type config = {
   unlock_with_cas : bool;
       (** The [UnlkC&S] variant (Fig. 6): release with a
           compare-and-swap instead of a plain store. *)
-  extra_fence : bool;
-      (** The [MP Sync] variant (Fig. 6): an extra atomic round-trip
-          per lock and unlock, standing in for PowerPC
-          [isync]/[sync]. *)
   record_stats : bool;
       (** Maintain {!Lock_stats} counters (default true).  Turn off
           for pure time measurements. *)

@@ -11,6 +11,19 @@ type backend = Os_domains | Fibers
 
 let backend_name = function Os_domains -> "domains" | Fibers -> "fibers"
 
+let quiescence_tick ~interleave ~backend runtime env =
+  Runtime.quiescence_point ~env runtime;
+  (* Voluntary deschedule: on hosts with fewer cores than domains the
+     OS would otherwise run each domain's episodes back-to-back and no
+     two lock episodes would ever overlap.  A tiny sleep mid-trace hands
+     the core over exactly as involuntary preemption would on a loaded
+     machine.  Under the fiber backend the deschedule is a fiber sleep,
+     so the carrier stays busy running other workers. *)
+  if interleave then
+    match backend with
+    | Os_domains -> Unix.sleepf 5e-5
+    | Fibers -> Tl_fiber.Scheduler.sleep 5e-5
+
 type run = { obj : int; ops : int array }
 
 type lane = { lane_obj : int; runs : run array; mutable next_run : int }

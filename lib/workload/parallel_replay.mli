@@ -34,10 +34,10 @@
     is the mode that manufactures real contention: overlapping episodes
     force contention inflation and queued fat acquires.
 
-    {b Statistics.}  The scheme's [Lock_stats] counters are reset once
-    before the domains start and snapshot once after they all join —
-    never per domain, which would double-count the shared atomic
-    counters (the racy pattern this module exists to replace).
+    {b Statistics.}  The scheme's [Lock_stats] counters are per-domain
+    shards; they are reset once before the domains start and snapshot
+    once after they all join, the only point at which every shard is
+    final (a reset while a domain records would lose its updates).
     Replay-local counters (ops, acquires, runs, steals, per-domain
     time) are tallied in plain per-domain records, each written by
     exactly one domain and merged after the join. *)
@@ -56,6 +56,17 @@ type backend = Os_domains | Fibers
     of sleeping the carrier). *)
 
 val backend_name : backend -> string
+
+val quiescence_tick :
+  interleave:bool ->
+  backend:backend ->
+  Tl_runtime.Runtime.t ->
+  Tl_runtime.Runtime.env ->
+  unit
+(** The replay tick: announce a quiescence point on [runtime] and, with
+    [interleave], deschedule for 50 µs (a fiber sleep under [Fibers]) —
+    the stand-in for involuntary preemption that makes lock episodes
+    overlap even when the host has fewer cores than domains. *)
 
 type run = { obj : int;  (** 0-based pool index *) ops : int array }
 (** One balanced slice of a single object's operations (same [+n]/[-n]
@@ -110,8 +121,8 @@ type result = {
   steals : int;  (** total across domains *)
   tallies : domain_tally array;  (** index = domain *)
   stats : Tl_core.Lock_stats.snapshot;
-      (** one post-join snapshot of the scheme's (shared, atomic)
-          counters — see the module comment on why it is taken once *)
+      (** one post-join snapshot of the scheme's per-domain counter
+          shards — see the module comment on why it is taken once *)
 }
 
 val run :

@@ -39,72 +39,75 @@ type reap =
   | Reap_fixed of Tl_lifecycle.Policy.t
   | Reap_controlled of Tl_lifecycle.Controller.config
 
-val reap_name : reap -> string
-(** The policy's name, or ["controlled"]. *)
-
 val reap_of_string :
   ?controller:Tl_lifecycle.Controller.config -> string -> reap option
 (** Shipped-policy names resolve to [Reap_fixed]; ["controlled"] to
     [Reap_controlled controller] (default {!Tl_lifecycle.Controller.default_config}). *)
 
-val controlled_label : Tl_lifecycle.Policy.t
-(** Labels controlled-mode score rows ["controlled"]; its [decide] is
-    never consulted (decisions live in the controller). *)
+(** {1 Traced replays} *)
+
+type lock =
+  | Thin of { fat_backend : Tl_monitor.Fatlock.backend; reap : reap }
+      (** The paper's thin lock with a 1-bit-default nest count,
+          inflating to [fat_backend] monitors and deflating under
+          [reap]. *)
+  | Cjm
+      (** The headerless CJM transient monitor table: no count width
+          (the inline depth is a full int) and no reaper (monitors
+          evaporate on their own).  Check its streams with
+          [Oracle.check ~protocol:Cjm]. *)
+
+type par = {
+  domains : int;
+  mode : Parallel_replay.mode;
+  interleave : bool;
+      (** add a 50 µs voluntary deschedule to each quiescence tick —
+          see {!Parallel_replay.quiescence_tick} *)
+  backend : Parallel_replay.backend;  (** what carries a worker *)
+}
+(** Replay through {!Parallel_replay} (real domains, work stealing)
+    instead of the single-threaded loop.  The single-threaded lab can
+    never produce a contended episode, so [zero_contended_episodes] is
+    indistinguishable from [always_idle] there; in shuffle mode,
+    overlapping episodes of hot objects queue for real, and the
+    policies separate. *)
+
+type replay = {
+  drained : Tl_events.Sink.drained;  (** the whole stream, nothing dropped *)
+  controller : Tl_lifecycle.Controller.t option;
+      (** in [Reap_controlled] mode, the controller (created with the
+          ctx's monitor-table shard count); its [Policy_switch]
+          decisions are in [drained] *)
+  par : Parallel_replay.result option;  (** [Some] iff [par] was given *)
+  leaked_entries : int;
+      (** CJM table entries still live after the replay (0 when the
+          table drained; always 0 for the thin lock) *)
+}
 
 val replay_traced :
   ?count_width:int ->
   ?quiescence_every:int ->
   ?sampling:Tl_events.Sink.sampling ->
-  ?fat_backend:Tl_monitor.Fatlock.backend ->
-  policy:Tl_lifecycle.Policy.t ->
+  ?par:par ->
+  lock ->
   Tracegen.t ->
-  Tl_core.Thin.ctx * Tl_events.Sink.drained
-(** Replay one trace on a fresh runtime/heap under [policy]
-    ([count_width] default 1, [quiescence_every] default 64), tracing
-    every lock event into a sink sized so nothing drops; [sampling]
-    (default every event) spot-checks production-style sampled streams.
-    [fat_backend] (default [Parker]) selects the monitors' contended
-    path — see [Tl_monitor.Fatlock.backend].
-    Returns the ctx (for counter inspection) and the drained stream. *)
+  replay
+(** Replay one trace on a fresh runtime/heap under [lock], tracing
+    every lock event into a sink sized so nothing drops.
+    [count_width] (default 1, thin only) and [quiescence_every]
+    (default 64 ops, per domain under [par]) as in the module
+    comment; [sampling] (default every event) spot-checks
+    production-style sampled streams.  Under a thin lock, 16 settle
+    announcements follow the trace so hysteresis policies can drain
+    monitors left fat at trace end; CJM streams carry no such extra
+    [Quiescence] events.  Under [par], reaper scans are single-flight,
+    so controller decision epochs land between census walks no matter
+    how many domains announce. *)
 
-val replay_traced_reap :
-  ?count_width:int ->
-  ?quiescence_every:int ->
-  ?sampling:Tl_events.Sink.sampling ->
-  ?fat_backend:Tl_monitor.Fatlock.backend ->
-  reap:reap ->
-  Tracegen.t ->
-  Tl_core.Thin.ctx * Tl_lifecycle.Controller.t option * Tl_events.Sink.drained
-(** {!replay_traced} generalised over the {!reap} mode.  In
-    [Reap_controlled] mode the controller (created with the ctx's
-    monitor-table shard count) is returned for snapshot inspection;
-    its [Policy_switch] decisions are in the drained stream. *)
-
-val replay_traced_cjm :
-  ?quiescence_every:int ->
-  ?sampling:Tl_events.Sink.sampling ->
-  Tracegen.t ->
-  Tl_cjm.Cjm.ctx * Tl_events.Sink.drained
-(** {!replay_traced} for the headerless CJM scheme: same no-drop sink
-    and quiescence cadence, but no count width (inline depth is a full
-    int) and no deflation policy (monitors evaporate on their own).
-    Check the stream with [Oracle.check ~protocol:Cjm]. *)
-
-val replay_traced_par_cjm :
-  ?quiescence_every:int ->
-  ?interleave:bool ->
-  ?backend:Parallel_replay.backend ->
-  domains:int ->
-  mode:Parallel_replay.mode ->
-  Tracegen.t ->
-  Parallel_replay.result * Tl_cjm.Cjm.ctx * Tl_events.Sink.drained
-(** {!replay_traced_par} for CJM — same scheduler, ticks and
-    [interleave] deschedule, packing the transient-table scheme with
-    no reaper attached.  Also returns the ctx so callers can assert
-    the table census drained ([Cjm.live_entries] = 0). *)
+(** {1 Scoring} *)
 
 type score = {
-  policy : string;
+  policy : string;  (** the row label *)
   acquires : int;
   fast_ratio : float;
   inflations : int;
@@ -117,36 +120,14 @@ type score = {
   dropped : int;  (** ring-overflow losses — 0 in lab replays *)
 }
 
-val score_stream : policy:Tl_lifecycle.Policy.t -> Tl_events.Sink.drained -> score
+val score_stream : label:string -> Tl_events.Sink.drained -> score
+(** Reduce a drained stream to the lab metrics, labelled [label].
+    CJM monitor creations count as inflations, evaporations as
+    deflations. *)
 
 val lab_score : score -> float
 (** Composite ranking key: slow-path percentage + thrash; lower is
     better. *)
-
-val run_one :
-  ?count_width:int ->
-  ?quiescence_every:int ->
-  ?fat_backend:Tl_monitor.Fatlock.backend ->
-  policy:Tl_lifecycle.Policy.t ->
-  Tracegen.t ->
-  score
-(** {!replay_traced} then {!score_stream}. *)
-
-val run_one_reap :
-  ?count_width:int ->
-  ?quiescence_every:int ->
-  ?fat_backend:Tl_monitor.Fatlock.backend ->
-  reap:reap ->
-  Tracegen.t ->
-  Tl_lifecycle.Controller.t option * score
-(** {!replay_traced_reap} then {!score_stream} (controlled rows are
-    labelled ["controlled"]). *)
-
-val run_one_cjm : ?quiescence_every:int -> Tracegen.t -> score
-(** {!replay_traced_cjm} then {!score_stream}: CJM's intrinsic
-    evaporate-on-idle lifecycle scored by the same metrics (inflations
-    count monitor creations, deflations evaporations), labelled
-    ["cjm (evaporate)"] for head-to-head rows against the policies. *)
 
 val default_benchmarks : string list
 
@@ -154,120 +135,20 @@ val table :
   ?max_syncs:int ->
   ?seed:int ->
   ?benchmarks:string list ->
-  ?scheme:string ->
+  ?scheme:[ `Thin | `Cjm ] ->
   ?fat_backend:Tl_monitor.Fatlock.backend ->
   ?controlled:Tl_lifecycle.Controller.config ->
+  ?par:par ->
   unit ->
   string
 (** Render the comparison: one table per benchmark trace (default
     {!default_benchmarks}, 20k ops each) with every shipped policy's
     metrics, followed by a lab-score ranking line.  [scheme] (default
-    ["thin"]) selects the lock under the lab: ["cjm"] replays each
-    trace on the transient monitor table instead — one row per trace,
-    no policy dimension — for comparison against the thin tables.
+    [`Thin]) selects the lock under the lab: [`Cjm] replays each trace
+    on the transient monitor table instead — one row per trace, no
+    policy dimension — for comparison against the thin tables.
     [controlled] appends a feedback-controller row to each thin table
-    so the self-tuning mode ranks against the fixed policies. *)
-
-(** {1 Multi-domain lab}
-
-    The single-threaded lab can never produce a contended episode, so
-    [zero_contended_episodes] is indistinguishable from [always_idle]
-    there.  The parallel lab replays the trace through
-    {!Parallel_replay} (real domains, work stealing), with the reaper's
-    quiescence announcements riding the scheduler's per-domain tick —
-    in shuffle mode, overlapping episodes of hot objects queue for
-    real, and the policies separate. *)
-
-val replay_traced_par :
-  ?count_width:int ->
-  ?quiescence_every:int ->
-  ?interleave:bool ->
-  ?backend:Parallel_replay.backend ->
-  ?fat_backend:Tl_monitor.Fatlock.backend ->
-  domains:int ->
-  mode:Parallel_replay.mode ->
-  policy:Tl_lifecycle.Policy.t ->
-  Tracegen.t ->
-  Parallel_replay.result * Tl_events.Sink.drained
-(** Replay one trace across [domains] domains under [policy], tracing
-    into a no-drop sink.  Quiescence is announced from each domain
-    every [quiescence_every] ops (default 64).  [interleave] (default
-    [false]) adds a 50 µs voluntary deschedule to each announcement —
-    the stand-in for involuntary preemption that makes lock episodes
-    overlap even when the host has fewer cores than domains (a fiber
-    sleep under the [Fibers] backend, so carriers stay busy).
-    [backend] (default [Os_domains]) selects what carries a worker —
-    see {!Parallel_replay.backend}; [fat_backend] (default [Parker])
-    the monitors' contended path — see [Tl_monitor.Fatlock.backend]. *)
-
-val run_one_par :
-  ?count_width:int ->
-  ?quiescence_every:int ->
-  ?interleave:bool ->
-  ?backend:Parallel_replay.backend ->
-  ?fat_backend:Tl_monitor.Fatlock.backend ->
-  domains:int ->
-  mode:Parallel_replay.mode ->
-  policy:Tl_lifecycle.Policy.t ->
-  Tracegen.t ->
-  Parallel_replay.result * score
-(** {!replay_traced_par} then {!score_stream}. *)
-
-val replay_traced_par_reap :
-  ?count_width:int ->
-  ?quiescence_every:int ->
-  ?interleave:bool ->
-  ?backend:Parallel_replay.backend ->
-  ?fat_backend:Tl_monitor.Fatlock.backend ->
-  domains:int ->
-  mode:Parallel_replay.mode ->
-  reap:reap ->
-  Tracegen.t ->
-  Parallel_replay.result * Tl_lifecycle.Controller.t option * Tl_events.Sink.drained
-(** {!replay_traced_par} generalised over the {!reap} mode; the
-    controller is returned in [Reap_controlled] mode.  Decision epochs
-    ride the single-flight quiescence scans, so switches land between
-    census walks no matter how many domains announce. *)
-
-val run_one_par_reap :
-  ?count_width:int ->
-  ?quiescence_every:int ->
-  ?interleave:bool ->
-  ?backend:Parallel_replay.backend ->
-  ?fat_backend:Tl_monitor.Fatlock.backend ->
-  domains:int ->
-  mode:Parallel_replay.mode ->
-  reap:reap ->
-  Tracegen.t ->
-  Parallel_replay.result * Tl_lifecycle.Controller.t option * score
-(** {!replay_traced_par_reap} then {!score_stream}. *)
-
-val run_one_par_cjm :
-  ?quiescence_every:int ->
-  ?interleave:bool ->
-  ?backend:Parallel_replay.backend ->
-  domains:int ->
-  mode:Parallel_replay.mode ->
-  Tracegen.t ->
-  Parallel_replay.result * score
-(** {!replay_traced_par_cjm} then {!score_stream} — the multi-domain
-    counterpart of {!run_one_cjm}. *)
-
-val table_par :
-  ?max_syncs:int ->
-  ?seed:int ->
-  ?benchmarks:string list ->
-  ?interleave:bool ->
-  ?backend:Parallel_replay.backend ->
-  ?scheme:string ->
-  ?fat_backend:Tl_monitor.Fatlock.backend ->
-  ?controlled:Tl_lifecycle.Controller.config ->
-  domains:int ->
-  mode:Parallel_replay.mode ->
-  unit ->
-  string
-(** The parallel counterpart of {!table}: one table per benchmark with
-    a contended-episode column, [interleave] on by default.  Shuffle
-    mode is the interesting one — it is where the contended column goes
-    non-zero and the ranking can reorder.  [controlled] appends the
-    feedback-controller row, as in {!table}. *)
+    so the self-tuning mode ranks against the fixed policies.  [par]
+    replays across domains and adds a contended-episode column; shuffle
+    mode is where that column goes non-zero and the ranking can
+    reorder. *)

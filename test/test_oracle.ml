@@ -432,19 +432,32 @@ let trace_of name =
   Tracegen.generate ~seed:1998 ~max_syncs:6_000
     (Option.get (Profiles.find name))
 
+let thin ?(fat_backend = Tl_monitor.Fatlock.Parker) reap =
+  Policy_lab.Thin { fat_backend; reap }
+
+let always_idle ?fat_backend () =
+  thin ?fat_backend (Policy_lab.Reap_fixed (policy "always-idle"))
+
+let par domains mode =
+  {
+    Policy_lab.domains;
+    mode;
+    interleave = false;
+    backend = Parallel_replay.Os_domains;
+  }
+
 let test_replay_stream_accepted name () =
-  let _ctx, d =
-    Policy_lab.replay_traced ~policy:(policy "always-idle") (trace_of name)
-  in
+  let d = (Policy_lab.replay_traced (always_idle ()) (trace_of name)).drained in
   check "no drops" true (d.Sink.dropped = []);
   let r = Oracle.check ~count_width:1 d in
   if not (Oracle.ok r) then
     Alcotest.failf "%s replay rejected: %s" name (report_str r)
 
 let test_replay_par_stream_accepted name domains mode () =
-  let _res, d =
-    Policy_lab.replay_traced_par ~domains ~mode ~policy:(policy "always-idle")
-      (trace_of name)
+  let d =
+    (Policy_lab.replay_traced ~par:(par domains mode) (always_idle ())
+       (trace_of name))
+      .drained
   in
   check "no drops" true (d.Sink.dropped = []);
   let omode = if domains > 1 then Oracle.Relaxed else Oracle.Strict in
@@ -457,9 +470,9 @@ let test_replay_par_stream_accepted name domains mode () =
    hapax admission must emit streams the protocol oracle verifies
    under the same strict/relaxed rules as the parker entry queue. *)
 let test_replay_backend_stream_accepted name backend () =
-  let _ctx, d =
-    Policy_lab.replay_traced ~fat_backend:backend ~policy:(policy "always-idle")
-      (trace_of name)
+  let d =
+    (Policy_lab.replay_traced (always_idle ~fat_backend:backend ()) (trace_of name))
+      .drained
   in
   check "no drops" true (d.Sink.dropped = []);
   let r = Oracle.check ~mode:Oracle.Strict ~count_width:1 d in
@@ -469,9 +482,11 @@ let test_replay_backend_stream_accepted name backend () =
       (report_str r)
 
 let test_replay_par_backend_stream_accepted name domains mode backend () =
-  let _res, d =
-    Policy_lab.replay_traced_par ~domains ~mode ~fat_backend:backend
-      ~policy:(policy "always-idle") (trace_of name)
+  let d =
+    (Policy_lab.replay_traced ~par:(par domains mode)
+       (always_idle ~fat_backend:backend ())
+       (trace_of name))
+      .drained
   in
   check "no drops" true (d.Sink.dropped = []);
   let omode = if domains > 1 then Oracle.Relaxed else Oracle.Strict in
@@ -480,6 +495,30 @@ let test_replay_par_backend_stream_accepted name domains mode backend () =
     Alcotest.failf "%s %s par replay (%d domains) rejected: %s" name
       (Tl_monitor.Fatlock.backend_name backend)
       domains (report_str r)
+
+(* CJM lab replays: the headerless scheme's streams verify under the
+   CJM protocol variant (strict on one domain, relaxed above) and its
+   transient table drains.  Without a reaper there is no settle, so a
+   single-threaded stream carries exactly one [Quiescence] per
+   [quiescence_every] (64) ops. *)
+let test_replay_cjm_stream_accepted ?par name () =
+  let trace = trace_of name in
+  let r = Policy_lab.replay_traced ?par Policy_lab.Cjm trace in
+  let d = r.Policy_lab.drained in
+  check "no drops" true (d.Sink.dropped = []);
+  check_int "no leaked table entries" 0 r.Policy_lab.leaked_entries;
+  if par = None then
+    check_int "one quiescence per 64 ops, no settle"
+      (Array.length trace.Tracegen.ops / 64)
+      (Sink.count_kind d Event.Quiescence);
+  let omode =
+    match par with
+    | Some p when p.Policy_lab.domains > 1 -> Oracle.Relaxed
+    | _ -> Oracle.Strict
+  in
+  let rep = Oracle.check ~mode:omode ~protocol:Oracle.Cjm d in
+  if not (Oracle.ok rep) then
+    Alcotest.failf "%s cjm replay rejected: %s" name (report_str rep)
 
 (* --- Policy_switch events in verified streams --- *)
 
@@ -519,8 +558,8 @@ let controlled_reap =
     { Ctl.default_config with Ctl.epoch_scans = 1; patience = 1 }
 
 let test_replay_par_controlled_accepted name domains mode () =
-  let _res, controller, d =
-    Policy_lab.replay_traced_par_reap ~domains ~mode ~reap:controlled_reap
+  let { Policy_lab.controller; drained = d; _ } =
+    Policy_lab.replay_traced ~par:(par domains mode) (thin controlled_reap)
       (trace_of name)
   in
   check "no drops" true (d.Sink.dropped = []);
@@ -559,8 +598,11 @@ let test_replay_par_controlled_accepted name domains mode () =
 
 let test_residency_matches_policy_lab name pname () =
   let p = policy pname in
-  let _ctx, d = Policy_lab.replay_traced ~policy:p (trace_of name) in
-  let score = Policy_lab.score_stream ~policy:p d in
+  let d =
+    (Policy_lab.replay_traced (thin (Policy_lab.Reap_fixed p)) (trace_of name))
+      .drained
+  in
+  let score = Policy_lab.score_stream ~label:pname d in
   let s = Residency.of_drained d in
   (* bit-for-bit equality: the online integral replicates the offline
      accumulation order exactly *)
@@ -835,6 +877,17 @@ let () =
           Alcotest.test_case "javacup par 2 domains (shuffle, hapax)" `Quick
             (test_replay_par_backend_stream_accepted "javacup" 2
                Parallel_replay.Shuffle Tl_monitor.Fatlock.Hapax);
+          Alcotest.test_case "javacup cjm strict" `Quick
+            (test_replay_cjm_stream_accepted "javacup");
+          Alcotest.test_case "javacup cjm par 1 domain (affinity)" `Quick
+            (test_replay_cjm_stream_accepted
+               ~par:(par 1 Parallel_replay.Affinity) "javacup");
+          Alcotest.test_case "javacup cjm par 2 domains (affinity)" `Quick
+            (test_replay_cjm_stream_accepted
+               ~par:(par 2 Parallel_replay.Affinity) "javacup");
+          Alcotest.test_case "javacup cjm par 2 domains (shuffle)" `Quick
+            (test_replay_cjm_stream_accepted
+               ~par:(par 2 Parallel_replay.Shuffle) "javacup");
         ] );
       ( "policy switches",
         [

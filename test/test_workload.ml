@@ -252,9 +252,17 @@ let test_monitor_lifecycle_report () =
 let test_policy_lab_scores () =
   let p = Option.get (Profiles.find "javacup") in
   let trace = Tracegen.generate ~max_syncs:2_000 p in
+  let run_one policy =
+    Policy_lab.score_stream ~label:policy.Tl_lifecycle.Policy.name
+      (Policy_lab.replay_traced
+         (Policy_lab.Thin
+            { fat_backend = Tl_monitor.Fatlock.Parker; reap = Reap_fixed policy })
+         trace)
+        .Policy_lab.drained
+  in
   List.iter
     (fun policy ->
-      let s = Policy_lab.run_one ~policy trace in
+      let s = run_one policy in
       let name = s.Policy_lab.policy in
       check_int (name ^ " sees every acquire") (Tracegen.acquire_count trace)
         s.Policy_lab.acquires;
@@ -265,9 +273,9 @@ let test_policy_lab_scores () =
         (s.Policy_lab.inflations > 0))
     Policy_lab.shipped_policies;
   (* never deflates nothing; always-idle undoes inflations *)
-  let never = Policy_lab.run_one ~policy:Tl_lifecycle.Policy.never trace in
+  let never = run_one Tl_lifecycle.Policy.never in
   check_int "never: zero deflations" 0 never.Policy_lab.deflations;
-  let idle = Policy_lab.run_one ~policy:Tl_lifecycle.Policy.always_idle trace in
+  let idle = run_one Tl_lifecycle.Policy.always_idle in
   check "always-idle deflates" true (idle.Policy_lab.deflations > 0);
   check "thrash only with deflation" true (never.Policy_lab.thrash = 0.0)
 

@@ -299,6 +299,17 @@ for domains in 1 2 4; do
   echo "  cjm oracle clean at $domains domain(s), both decompositions"
 done
 
+echo "== traced lab replays: replay --oracle (thin, cjm) and sequential policy-lab"
+tmpdir=$(mktemp -d)
+dune exec bin/thinlocks.exe -- trace -b javacup --max-syncs 6000 -o "$tmpdir/t.tr" >/dev/null
+dune exec bin/thinlocks.exe -- replay "$tmpdir/t.tr" --oracle >/dev/null
+dune exec bin/thinlocks.exe -- replay "$tmpdir/t.tr" --scheme cjm --oracle >/dev/null
+rm -rf "$tmpdir"
+echo "  replay --oracle: thin and cjm streams clean"
+dune exec bin/thinlocks.exe -- policy-lab --scheme cjm >/dev/null
+dune exec bin/thinlocks.exe -- policy-lab --reap controlled >/dev/null
+echo "  policy-lab --scheme cjm and --reap controlled: ran"
+
 echo "== fiber backend: replay-par and policy-lab run the same workers as fibers"
 dune exec bin/thinlocks.exe -- replay-par -b javacup --domains 2 --shuffle \
   --interleave --backend fibers --max-syncs 6000 --oracle >/dev/null
